@@ -26,9 +26,9 @@ def test_table6_rows():
         loc["Double max-plus tiled (scheduled)"] > loc["Double max-plus (scheduled)"]
     )
     assert loc["BPMax hybrid (scheduled)"] >= loc["BPMax coarse (scheduled)"]
-    # the vectorized window kernels (what `--backend generated` runs)
-    # stay an order of magnitude below the statement-per-point programs,
-    # and column tiling adds code just as the paper's tiled row does
+    # the vectorized whole-window R0 kernels stay an order of magnitude
+    # below the statement-per-point programs, and column tiling adds
+    # code just as the paper's tiled row does
     assert loc["Window kernel kmajor (vectorized)"] < loc["BPMax base (writeC)"]
     assert (
         loc["Window kernel kmajor tiled (vectorized)"]

@@ -11,9 +11,9 @@ Subpackages:
 * :mod:`repro.rna` — alphabet, scoring, sequences, Nussinov folding;
 * :mod:`repro.core` — BPMax engines, the mini-Alpha model, schedules;
 * :mod:`repro.semiring` — max-plus kernels and the stream micro-benchmark;
-* :mod:`repro.kernels` — pluggable kernel backends (``numpy``,
-  ``numpy-batched``, optional ``numba``, the ``tiled`` wavefront
-  executor with its window-block autotuner) and the per-engine
+* :mod:`repro.kernels` — pluggable kernel backends (``numpy-batched``,
+  the ``tiled`` wavefront executor with its window-block autotuner,
+  ``fourrussians``) and the per-engine
   :class:`~repro.kernels.Workspace` scratch pool;
 * :mod:`repro.polyhedral` — the mini-AlphaZ framework (domains,
   schedules, dependences, tiling, the Alpha language, code generation);

@@ -352,9 +352,9 @@ def table6_loc() -> ExperimentResult:
     sources["Double max-plus tiled (scheduled)"] = generate_schedule_code(
         sys_dmp, tiled_tm, "dmp_tiled"
     )
-    # the production window kernels the `generated` backend compiles —
-    # the same schedule -> code pipeline, emitted vectorized instead of
-    # statement-per-point, so they land far below the scheduled programs
+    # whole-window R0 kernels from the same schedule -> code pipeline,
+    # emitted vectorized instead of statement-per-point, so they land far
+    # below the scheduled programs
     from ..polyhedral.codegen.vectorize import generate_window_kernel
 
     sources["Window kernel kmajor (vectorized)"] = generate_window_kernel(

@@ -19,8 +19,8 @@ an O(1) affine map.  The payoff, beyond cutting the O(N^2) per-window
 allocation churn of the old dict-of-arrays storage, is that every split
 scan of the recurrence becomes a *contiguous slab view*: the R0/R4 left
 operands of window ``(i1, j1)`` are exactly the ``j1 - i1`` consecutive
-slabs starting at ``offset(i1, i1)`` (see :meth:`FTable.row_slab`),
-which the tiled backend consumes with zero gathering.
+slabs starting at ``offset(i1, i1)``, which the tiled backend consumes
+with zero gathering.
 
 The paper notes AlphaZ's default bounding-box allocation wastes 3/4 of
 the M^2 N^2 box but the unused elements never move through the memory
@@ -95,22 +95,6 @@ class FTable:
     def packed(self) -> np.ndarray:
         """The whole ``(T1(n), m, m)`` packed buffer (row-major windows)."""
         return self._buf
-
-    def row_slab(self, i1: int, j1: int, count: int) -> np.ndarray:
-        """Contiguous view of windows ``(i1, j1) .. (i1, j1 + count - 1)``.
-
-        This is the zero-copy form of the R0/R4 split scans: the ``count``
-        left operands of a window's reduction are consecutive slabs of one
-        outer row.  Raises when the range leaves the row.
-        """
-        if count < 0:
-            raise ValueError(f"slab count must be >= 0, got {count}")
-        off = self.offset(i1, j1)
-        if j1 + count > self.n:
-            raise IndexError(
-                f"slab ({i1}, {j1})+{count} leaves the outer row for n={self.n}"
-            )
-        return self._buf[off : off + count]
 
     # -- window management --------------------------------------------------
 

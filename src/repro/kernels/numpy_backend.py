@@ -1,59 +1,27 @@
-"""NumPy kernel backends: the portable row kernel and the batched default.
+"""The default NumPy kernel backend, ``numpy-batched``.
 
-``numpy`` wraps the paper's row-vectorized kernel (one broadcast per
-``(i2, k2)`` pair — O(splits x M^2) interpreter dispatches per window);
-``numpy-batched`` stacks every ``k1`` split into one 3-D block and
-reduces with whole-array ops (O(M) dispatches per window).  Both compute
-the exact same set of float32 sums, and max is order-independent, so
-they are bit-identical to each other and to the scalar references.
+It stacks every ``k1`` split into one 3-D block and reduces with
+whole-array ops (O(M) interpreter dispatches per window).  It computes
+the exact same set of float32 sums as the paper's row-vectorized kernel
+(:func:`~repro.semiring.maxplus.maxplus_matmul_vectorized`, kept for the
+``DMP_KERNELS`` fixtures), and max is order-independent, so the two are
+bit-identical to each other and to the scalar references.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..semiring.maxplus import (
-    maxplus_batched,
-    maxplus_matmul_vectorized,
-)
+from ..semiring.maxplus import maxplus_batched
 from .backend import KernelBackend, register_backend
 
-__all__ = ["NUMPY_BACKEND", "NUMPY_BATCHED_BACKEND"]
-
-
-def _batched_via_rows(
-    astack: np.ndarray,
-    bstack: np.ndarray,
-    acc: np.ndarray,
-    tmp: np.ndarray | None = None,
-    red: np.ndarray | None = None,
-    triangular: bool = False,
-) -> np.ndarray:
-    """Per-split fallback formulation of the stacked reduction.
-
-    ``triangular`` is accepted for interface parity and ignored: the row
-    kernel already skips -inf A entries, which covers the same cells.
-    """
-    for s in range(astack.shape[0]):
-        maxplus_matmul_vectorized(astack[s], bstack[s], acc)
-    return acc
+__all__ = ["NUMPY_BATCHED_BACKEND"]
 
 
 def _matmul_batched(a: np.ndarray, bs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Single-split product through the batched primitive (stack of one)."""
     return maxplus_batched(a[None], bs[None], out)
 
-
-NUMPY_BACKEND = register_backend(
-    KernelBackend(
-        "numpy",
-        matmul=maxplus_matmul_vectorized,
-        batched_r0=_batched_via_rows,
-        description="row-vectorized NumPy kernel, one broadcast per (i2, k2)",
-        capabilities={"threads": True},
-        semirings=("max-plus", "logsumexp"),
-    )
-)
 
 NUMPY_BATCHED_BACKEND = register_backend(
     KernelBackend(

@@ -7,9 +7,6 @@ from .vectorize import (
     CODEGEN_SCHEDULES,
     KernelSchedule,
     ScheduleLegalityError,
-    candidate_schedules,
-    candidate_tiles,
-    compile_window_kernel,
     generate_window_kernel,
     get_kernel_schedule,
     is_legal_schedule,
@@ -29,9 +26,6 @@ __all__ = [
     "CODEGEN_SCHEDULES",
     "KernelSchedule",
     "ScheduleLegalityError",
-    "candidate_schedules",
-    "candidate_tiles",
-    "compile_window_kernel",
     "generate_window_kernel",
     "get_kernel_schedule",
     "is_legal_schedule",

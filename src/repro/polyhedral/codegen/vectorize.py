@@ -1,24 +1,25 @@
 """Vectorized window-kernel emitter: space-time map + tiling → numpy source.
 
-This is the bridge between the mini-AlphaZ layer and the production
-kernel registry: a :class:`~repro.polyhedral.schedule.Schedule` over the
-R0 reduction indices ``(s, k)`` — ``s`` the stacked ``k1`` split, ``k``
-the inner split column ``k2`` — plus a column-tile width is lowered to a
+A :class:`~repro.polyhedral.schedule.Schedule` over the R0 reduction
+indices ``(s, k)`` — ``s`` the stacked ``k1`` split, ``k`` the inner
+split column ``k2`` — plus a column-tile width is lowered to a
 self-contained Python module implementing one *whole-window* R0+R3+R4
 accumulation directly on the packed :class:`~repro.core.tables.FTable`
 slab layout:
 
 * the left operands of every split are consecutive windows of one outer
-  row, so the kernel reads them through a single zero-copy
-  ``row_slab(i1, i1, K)`` view instead of the gathered ``astack`` copy
-  the generic batched path makes;
+  row, so the kernel reads them through a single zero-copy view of the
+  ``K`` packed slabs starting at ``offset(i1, i1)`` instead of the
+  gathered ``astack`` copy the generic batched path makes;
 * the raw right operands of R3 are recovered from the *shifted* stack
   (``raw[i2] == shifted[i2 - 1]`` for ``i2 >= 1``) plus a gathered row 0,
   eliminating the ``braw`` stack copy as well.
 
 Of the three K x M x M stack copies per window on the generic path, the
-generated kernels keep only the shifted-B gather — that memory-traffic
-cut is where the speedup over ``numpy-batched`` comes from.
+generated kernels keep only the shifted-B gather.  The emitted modules
+are the Table VI fixture (``bench_table6_codegen_loc.py`` counts their
+lines); no kernel backend runs them, because the numpy-emitted kernels
+measured at most 1.05x over ``numpy-batched`` (``BENCH_codegen.json``).
 
 Legality: R0 is a pure ⊕-reduction over ``(s, k)`` with a commutative,
 associative ⊕, so *any* enumeration order of the reduction domain is a
@@ -29,10 +30,7 @@ distinct reduction index with coefficient 1 and no constant part.
 
 The generated module is semiring-parametric: it binds the ⊕/⊗ ufuncs
 from a :class:`~repro.semiring.semiring.Semiring` descriptor at load
-time (``make_kernel(semiring)``), and also exposes a scalar-loop twin
-(``make_scalar_kernel``, max-plus only) in the shape numba's ``njit``
-compiles well — used when numba is importable, and as a plain-Python
-conformance oracle when it is not.
+time (``make_kernel(semiring)``).
 """
 
 from __future__ import annotations
@@ -41,25 +39,17 @@ from dataclasses import dataclass
 from textwrap import dedent, indent
 
 from ..schedule import Schedule
-from .writec import reduce_identity
 
 __all__ = [
-    "CODEGEN_VERSION",
     "REDUCTION_INDICES",
     "ScheduleLegalityError",
     "KernelSchedule",
     "CODEGEN_SCHEDULES",
-    "candidate_schedules",
-    "candidate_tiles",
     "get_kernel_schedule",
     "loop_order",
     "is_legal_schedule",
     "generate_window_kernel",
-    "compile_window_kernel",
 ]
-
-#: bump to invalidate every on-disk generated-kernel cache entry
-CODEGEN_VERSION = 1
 
 #: the R0 reduction indices a window schedule maps: ``s`` enumerates the
 #: stacked k1 splits, ``k`` the inner split column k2
@@ -112,7 +102,7 @@ def is_legal_schedule(schedule: Schedule) -> bool:
 
 @dataclass(frozen=True)
 class KernelSchedule:
-    """A named, emitter-ready window schedule (one autotuner candidate)."""
+    """A named, emitter-ready window schedule."""
 
     name: str
     schedule: Schedule
@@ -151,11 +141,6 @@ CODEGEN_SCHEDULES: tuple[KernelSchedule, ...] = (
 _BY_NAME = {ks.name: ks for ks in CODEGEN_SCHEDULES}
 
 
-def candidate_schedules() -> tuple[KernelSchedule, ...]:
-    """Schedule candidates the joint autotuner sweeps."""
-    return CODEGEN_SCHEDULES
-
-
 def get_kernel_schedule(name: str) -> KernelSchedule:
     try:
         return _BY_NAME[name]
@@ -165,15 +150,7 @@ def get_kernel_schedule(name: str) -> KernelSchedule:
         ) from None
 
 
-def candidate_tiles(m: int) -> tuple[int, ...]:
-    """Column-tile widths worth sweeping for inner length ``m`` (0 = untiled)."""
-    return (0, *(w for w in (8, 16, 32, 64) if w < m))
-
-
 # -- source emission ----------------------------------------------------------
-
-_NEG_INF_TEXT = reduce_identity("max")  # shared algebra source of truth
-
 
 def _r0_vector_body(order: tuple[str, ...], wj: int) -> str:
     """The schedule-specific R0 accumulation, vector form.
@@ -254,69 +231,19 @@ def _r0_vector_body(order: tuple[str, ...], wj: int) -> str:
     )
 
 
-def _r0_scalar_body(order: tuple[str, ...], wj: int) -> str:
-    """The schedule-specific R0 accumulation, scalar-loop (njit) form."""
-    inner = dedent(
-        """\
-        for _i in range(_k + 1):
-            _a = aslab[_s, _i, _k]
-            if _a == NEG_INF:
-                continue
-            for _j in range({jlo}, {jhi}):
-                _v = _a + bstack[_s, _k, _j]
-                if _v > acc[_i, _j]:
-                    acc[_i, _j] = _v
-        """
-    )
-    if wj == 0:
-        cell = inner.format(jlo="_k + 1", jhi="m")
-        if order == ("k", "s"):
-            loops = "for _k in range(m - 1):\n    for _s in range(K):\n"
-        else:
-            loops = "for _s in range(K):\n    for _k in range(m - 1):\n"
-        return loops + indent(cell, "        ")
-    cell = inner.format(jlo="_c0", jhi="_jhi")
-    block = (
-        f"for _j0 in range(1, m, {wj}):\n"
-        f"    _jhi = min(_j0 + {wj}, m)\n"
-    )
-    if order == ("k", "s"):
-        loops = (
-            block
-            + "    for _k in range(_jhi - 1):\n"
-            + "        _c0 = _k + 1 if _k + 1 > _j0 else _j0\n"
-            + "        for _s in range(K):\n"
-        )
-        return loops + indent(cell, "            ")
-    loops = (
-        "for _s in range(K):\n"
-        + indent(block, "    ")
-        + "        for _k in range(_jhi - 1):\n"
-        + "            _c0 = _k + 1 if _k + 1 > _j0 else _j0\n"
-    )
-    return loops + indent(cell, "            ")
-
-
 _MODULE_TEMPLATE = '''\
 """Auto-generated window kernel — repro.polyhedral.codegen.vectorize.
 
 schedule : {name}  (time map {time_map}; loop order {order})
 tile_wj  : {wj}
-codegen  : v{version}
 
 Whole-window R0+R3+R4 accumulation on the packed FTable slab layout.
-Do not edit: regenerated from the schedule; cached under the autotune
-fingerprint.
+Do not edit: regenerated from the schedule.
 """
-import numpy as np
-
 SCHEDULE = {name!r}
 TIME_MAP = {time_map!r}
 LOOP_ORDER = {order!r}
 TILE_WJ = {wj}
-CODEGEN_VERSION = {version}
-
-NEG_INF = {neg_inf}
 
 
 def make_kernel(semiring):
@@ -373,44 +300,6 @@ def make_kernel(semiring):
         return acc
 
     return kernel
-
-
-def make_scalar_kernel(jit=None):
-    """Scalar-loop twin of the same schedule (max-plus only).
-
-    The loop nest njit compiles to tight machine code; with ``jit=None``
-    it doubles as a plain-Python conformance oracle.
-    """
-
-    def kernel(aslab, bstack, brow0, s1l, s1r, acc):
-        K = aslab.shape[0]
-        m = acc.shape[0]
-{r0_scalar}
-        for _s in range(K):
-            _bias = s1l[_s]
-            if _bias != NEG_INF:
-                for _j in range(m):
-                    _v = brow0[_s, _j] + _bias
-                    if _v > acc[0, _j]:
-                        acc[0, _j] = _v
-                for _i in range(1, m):
-                    for _j in range(m):
-                        _v = bstack[_s, _i - 1, _j] + _bias
-                        if _v > acc[_i, _j]:
-                            acc[_i, _j] = _v
-        for _s in range(K):
-            _bias = s1r[_s]
-            if _bias != NEG_INF:
-                for _i in range(m):
-                    for _j in range(m):
-                        _v = aslab[_s, _i, _j] + _bias
-                        if _v > acc[_i, _j]:
-                            acc[_i, _j] = _v
-        return acc
-
-    if jit is not None:
-        kernel = jit(kernel)
-    return kernel
 '''
 
 
@@ -426,23 +315,6 @@ def generate_window_kernel(ks: KernelSchedule | str, tile_wj: int = 0) -> str:
         time_map=ks.time_map,
         order=order,
         wj=tile_wj,
-        version=CODEGEN_VERSION,
-        neg_inf=_NEG_INF_TEXT,
         r0_vector=indent(_r0_vector_body(order, tile_wj), " " * 8),
-        r0_scalar=indent(_r0_scalar_body(order, tile_wj), " " * 8),
     )
 
-
-def compile_window_kernel(ks: KernelSchedule | str, tile_wj: int = 0):
-    """Generate + exec one variant; return its module namespace and source.
-
-    The persistent compile-and-cache layer lives in
-    :mod:`repro.kernels.codegen_backend`; this helper is the direct
-    (uncached) path used by tests and the schedule explorer.
-    """
-    if isinstance(ks, str):
-        ks = get_kernel_schedule(ks)
-    src = generate_window_kernel(ks, tile_wj)
-    namespace: dict = {}
-    exec(compile(src, f"<vectorize:{ks.name}|wj{tile_wj}>", "exec"), namespace)
-    return namespace, src

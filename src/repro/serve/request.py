@@ -25,6 +25,7 @@ from typing import Any, Mapping
 from typing import TYPE_CHECKING
 
 from ..core.engine import ENGINES
+from ..kernels import BACKENDS
 from ..robust.errors import BpmaxError
 from ..rna.alphabet import normalize
 from ..rna.scoring import DEFAULT_MODEL, ScoringModel
@@ -110,6 +111,11 @@ class SubmitRequest:
         if self.variant not in ENGINES:
             raise BpmaxError(
                 f"unknown variant {self.variant!r}; use one of {ENGINES}"
+            )
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise BpmaxError(
+                f"unknown backend {self.backend!r}; "
+                f"use one of {tuple(sorted(BACKENDS))}"
             )
         try:
             sr = get_semiring(self.semiring)

@@ -39,14 +39,17 @@ just before serving its n-th request, and the respawn path strips the
 shard's faults from the replacement worker's configuration (the
 fires-once transient-fault convention, across a process boundary).
 
-The worker protocol is deliberately tiny — picklable tuples over two
-``multiprocessing`` queues per worker (requests in, shared results out),
-heartbeats on the result queue — so the parent never blocks on a worker
-and a worker death can never corrupt parent state.  Workers are started
-with the ``spawn`` method by default (override with
-``BPMAX_SHARD_START=fork`` where fork-safety is understood): the parent
-runs scheduler threads, and forking a threaded process is exactly the
-kind of latent wedge this tier exists to survive.
+The worker protocol is deliberately tiny — picklable tuples over a
+``multiprocessing`` queue per worker (requests in) and a one-way pipe
+per worker (results and heartbeats out) — so the parent never blocks on
+a worker and a worker death can never corrupt parent state.  The result
+channel is per worker, not shared: a worker killed mid-write can break
+only its own pipe, never stall the other workers' heartbeats behind a
+cross-process lock it died holding.  Workers are started with the
+``spawn`` method by default (override with ``BPMAX_SHARD_START=fork``
+where fork-safety is understood): the parent runs scheduler threads,
+and forking a threaded process is exactly the kind of latent wedge this
+tier exists to survive.
 """
 
 from __future__ import annotations
@@ -57,11 +60,11 @@ import heapq
 import itertools
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait as wait_conns
 from typing import Any, Iterable, Sequence
 
 from ..observe.metrics import active as _metrics_active
@@ -257,25 +260,33 @@ class _RequestExecutor:
         }
 
 
-def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_q) -> None:
+def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_conn) -> None:
     """Entry point of one shard worker process.
 
     Protocol (all plain picklable tuples):
 
     * parent -> worker on ``req_q``: ``("req", token, request,
       deadline_remaining_s)`` or ``("stop",)``;
-    * worker -> parent on the shared ``res_q``: ``("res", shard, epoch,
-      token, body)`` and ``("hb", shard, epoch)`` heartbeats.
+    * worker -> parent on this worker's own ``res_conn`` pipe:
+      ``("res", shard, epoch, token, body)`` and ``("hb", shard, epoch)``
+      heartbeats.
 
     The epoch stamps every message so the parent can discard output of a
-    superseded worker generation after a respawn.
+    superseded worker generation after a respawn.  The heartbeat thread
+    and the main thread share the pipe, so a process-local lock keeps
+    their messages whole.
     """
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def send(msg: tuple) -> None:
+        with send_lock:
+            res_conn.send(msg)
 
     def beat() -> None:
         while not stop.is_set():
             try:
-                res_q.put(("hb", shard, epoch))
+                send(("hb", shard, epoch))
             except Exception:  # pragma: no cover - parent gone
                 return
             stop.wait(cfg["heartbeat_s"])
@@ -301,7 +312,7 @@ def _worker_main(shard: int, epoch: int, cfg: dict, req_q, res_q) -> None:
                 time.sleep(cfg.get("hang_sleep_s", 3600.0))
         body = executor.execute(request, deadline_s)
         try:
-            res_q.put(("res", shard, epoch, token, body))
+            send(("res", shard, epoch, token, body))
         except Exception:  # pragma: no cover - parent gone
             break
     stop.set()
@@ -525,7 +536,9 @@ class ShardScheduler:
         self._closed = False
         self._stop = threading.Event()
         self._stats = ShardStats()
-        self._res_q = self._ctx.Queue()
+        #: read ends of the live result pipes; the reaper closes each one
+        #: on EOF, :meth:`close` the rest at shutdown
+        self._conns: set[Connection] = set()
         self._workers = [_Worker(s) for s in range(shards)]
         self._fallback_pool: ThreadPoolExecutor | None = None
         self._fallback_exec: _RequestExecutor | None = None
@@ -551,15 +564,29 @@ class ShardScheduler:
         }
 
     def _spawn(self, w: _Worker) -> None:
-        """Start (or restart) the worker process of one shard slot."""
+        """Start (or restart) the worker process of one shard slot.
+
+        Every generation gets a fresh request queue and a fresh result
+        pipe; the parent drops its copy of the write end once the child
+        holds it, so the child's death reads as EOF on the pipe.
+        """
         w.req_q = self._ctx.Queue()
-        w.process = self._ctx.Process(
-            target=_worker_main,
-            args=(w.shard, w.epoch, self._worker_cfg(), w.req_q, self._res_q),
-            name=f"bpmax-shard-{w.shard}",
-            daemon=True,
-        )
-        w.process.start()
+        recv_end, send_end = self._ctx.Pipe(duplex=False)
+        try:
+            w.process = self._ctx.Process(
+                target=_worker_main,
+                args=(w.shard, w.epoch, self._worker_cfg(), w.req_q, send_end),
+                name=f"bpmax-shard-{w.shard}",
+                daemon=True,
+            )
+            w.process.start()
+        except BaseException:
+            recv_end.close()
+            raise
+        finally:
+            send_end.close()
+        with self._lock:
+            self._conns.add(recv_end)
         w.last_hb = time.monotonic()
         w.state = "live"
 
@@ -710,32 +737,44 @@ class ShardScheduler:
 
     def _reap_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                msg = self._res_q.get(timeout=0.1)
-            except queue_mod.Empty:
+            with self._lock:
+                conns = list(self._conns)
+            if not conns:
+                self._stop.wait(0.1)
                 continue
-            except (EOFError, OSError):  # pragma: no cover - teardown race
-                return
-            kind = msg[0]
-            if kind == "hb":
-                _, shard, epoch = msg
-                with self._lock:
-                    w = self._workers[shard]
-                    if epoch == w.epoch:
-                        w.last_hb = time.monotonic()
-                continue
-            _, shard, epoch, token, body = msg
+            for conn in wait_conns(conns, timeout=0.1):
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # the worker exited (possibly mid-message): its pipe
+                    # is done; the monitor handles the death itself
+                    with self._lock:
+                        self._conns.discard(conn)
+                    conn.close()
+                    continue
+                self._handle_message(msg)
+
+    def _handle_message(self, msg: tuple) -> None:
+        kind = msg[0]
+        if kind == "hb":
+            _, shard, epoch = msg
             with self._lock:
                 w = self._workers[shard]
-                if epoch != w.epoch:
-                    continue  # superseded generation: task was re-routed
-                w.last_hb = time.monotonic()
-                task = w.inflight.pop(token, None)
-                if task is not None:
-                    w.served += 1
+                if epoch == w.epoch:
+                    w.last_hb = time.monotonic()
+            return
+        _, shard, epoch, token, body = msg
+        with self._lock:
+            w = self._workers[shard]
+            if epoch != w.epoch:
+                return  # superseded generation: task was re-routed
+            w.last_hb = time.monotonic()
+            task = w.inflight.pop(token, None)
             if task is not None:
-                self._resolve(task, self._body_result(task.request, body, shard))
-            self._pump(w)
+                w.served += 1
+        if task is not None:
+            self._resolve(task, self._body_result(task.request, body, shard))
+        self._pump(w)
 
     # -- health monitoring ----------------------------------------------------
 
@@ -1041,8 +1080,11 @@ class ShardScheduler:
             if w.req_q is not None:
                 w.req_q.close()
                 w.req_q.cancel_join_thread()
-        self._res_q.close()
-        self._res_q.cancel_join_thread()
+        with self._lock:
+            conns = list(self._conns)
+            self._conns.clear()
+        for conn in conns:
+            conn.close()
         if self._fallback_pool is not None:
             self._fallback_pool.shutdown(wait=True)
 

@@ -40,16 +40,15 @@ from repro.rna.scoring import DEFAULT_MODEL
 
 MANIFEST = Path(__file__).parent / "manifest.json"
 
-#: engine configurations held to the manifest: every variant, and the
-#: batched variant once per registered backend (unavailable backends
-#: fall back transparently and must *still* conform)
-ENGINE_CONFIGS = [
-    ("coarse", None),
-    ("fine", None),
-    ("hybrid", None),
-    ("hybrid-tiled", None),
-    ("batched", None),
-] + [("batched", name) for name in sorted(BACKENDS)]
+#: every engine variant, held to the manifest with its own kernel and
+#: once per registered backend: a backend reorders the R0 products but
+#: not the variant's traversal order or granularity, so each pairing is
+#: a distinct code path (unavailable backends fall back transparently
+#: and must *still* conform)
+VARIANTS = ("coarse", "fine", "hybrid", "hybrid-tiled", "batched")
+ENGINE_CONFIGS = [(variant, None) for variant in VARIANTS] + [
+    (variant, name) for variant in VARIANTS for name in sorted(BACKENDS)
+]
 
 #: the scalar reference engine is held to the pins on the cases it can
 #: finish quickly; the vectorized engines cover the rest
@@ -181,6 +180,26 @@ class TestServingConformance:
         for r in results:
             assert r.ok, (r.id, r.error)
             pin = manifest["cases"][r.id]["semirings"]["logsumexp"]
+            assert math.isclose(
+                r.score, pin["value"], rel_tol=pin["rtol"], abs_tol=pin["atol"]
+            ), r.id
+
+    @pytest.mark.parametrize("semiring", MANIFEST_SEMIRINGS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_serve_many_per_backend_matches_manifest(
+        self, manifest, backend, semiring
+    ):
+        """Requests naming any registered backend are served with
+        answers that meet the pins."""
+        requests = [
+            SubmitRequest(
+                c.seq1, c.seq2, id=c.name, backend=backend, semiring=semiring
+            )
+            for c in GOLDEN_CASES
+        ]
+        for r in serve_many(requests, workers=2):
+            assert r.ok, (r.id, r.error)
+            pin = manifest["cases"][r.id]["semirings"][semiring]
             assert math.isclose(
                 r.score, pin["value"], rel_tol=pin["rtol"], abs_tol=pin["atol"]
             ), r.id

@@ -6,25 +6,25 @@ import pytest
 from repro.kernels import (
     BACKENDS,
     DEFAULT_BACKEND,
-    HAVE_NUMBA,
     KernelBackend,
     available_backends,
     get_backend,
     register_backend,
 )
+from repro.semiring import LOG_SUM_EXP
 from repro.semiring.maxplus import NEG_INF, maxplus_matmul_naive
 
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        assert {"numpy", "numpy-batched", "numba"} <= set(BACKENDS)
+        assert sorted(BACKENDS) == ["fourrussians", "numpy-batched", "tiled"]
 
     def test_default_resolves(self):
         assert get_backend(None).name == DEFAULT_BACKEND
         assert get_backend(DEFAULT_BACKEND).name == DEFAULT_BACKEND
 
     def test_resolved_backend_passthrough(self):
-        b = get_backend("numpy")
+        b = get_backend("tiled")
         assert get_backend(b) is b
 
     def test_unknown_backend_raises_with_listing(self):
@@ -33,14 +33,23 @@ class TestRegistry:
         with pytest.raises(ValueError, match="numpy-batched"):
             get_backend("warp")
 
-    def test_numba_fallback_chain(self):
-        resolved = get_backend("numba")
-        if HAVE_NUMBA:
-            assert resolved.name == "numba"
-        else:
-            assert resolved.name == DEFAULT_BACKEND
-            assert not BACKENDS["numba"].available
-            assert BACKENDS["numba"].note  # explains why it is missing
+    def test_unavailable_backend_falls_back(self):
+        register_backend(
+            KernelBackend(
+                "_test-missing",
+                matmul=lambda a, b, c: c,
+                batched_r0=lambda *a, **k: a[2],
+                available=False,
+                fallback=DEFAULT_BACKEND,
+                note="dependency not installed",
+            )
+        )
+        try:
+            assert get_backend("_test-missing").name == DEFAULT_BACKEND
+            assert "_test-missing" not in available_backends()
+            assert "unavailable" in repr(BACKENDS["_test-missing"])
+        finally:
+            del BACKENDS["_test-missing"]
 
     def test_available_backends_sorted_and_available(self):
         names = available_backends()
@@ -82,20 +91,20 @@ class TestRegistry:
             del BACKENDS["_test-cycle"]
 
     def test_register_last_wins(self):
-        original = BACKENDS["numpy"]
+        original = BACKENDS["numpy-batched"]
         try:
             replacement = KernelBackend(
-                "numpy", matmul=original._matmul, batched_r0=original._batched_r0
+                "numpy-batched",
+                matmul=original._matmul,
+                batched_r0=original._batched_r0,
             )
             assert register_backend(replacement) is replacement
-            assert get_backend("numpy") is replacement
+            assert get_backend("numpy-batched") is replacement
         finally:
-            BACKENDS["numpy"] = original
+            BACKENDS["numpy-batched"] = original
 
     def test_repr_mentions_availability(self):
-        assert "available" in repr(get_backend("numpy"))
-        if not HAVE_NUMBA:
-            assert "unavailable" in repr(BACKENDS["numba"])
+        assert "available" in repr(get_backend("numpy-batched"))
 
 
 def _random_stacks(rng, s, m, triangular):
@@ -110,7 +119,7 @@ def _random_stacks(rng, s, m, triangular):
 
 
 class TestBackendKernels:
-    @pytest.mark.parametrize("name", ["numpy", "numpy-batched"])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_batched_r0_matches_naive(self, rng, name):
         backend = get_backend(name)
         a, b = _random_stacks(rng, 3, 6, triangular=False)
@@ -121,7 +130,7 @@ class TestBackendKernels:
         backend.batched_r0(a, b, got)
         np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("name", ["numpy", "numpy-batched"])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_triangular_flag_bit_identical(self, rng, name):
         backend = get_backend(name)
         a, b = _random_stacks(rng, 4, 7, triangular=True)
@@ -131,7 +140,7 @@ class TestBackendKernels:
         backend.batched_r0(a, b, tri, triangular=True)
         np.testing.assert_array_equal(tri, dense)
 
-    @pytest.mark.parametrize("name", ["numpy", "numpy-batched"])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_matmul_matches_naive(self, rng, name):
         backend = get_backend(name)
         a = rng.uniform(-4, 9, size=(5, 5)).astype(np.float32)
@@ -141,6 +150,24 @@ class TestBackendKernels:
         got = np.full((5, 5), NEG_INF, dtype=np.float32)
         backend.matmul(a, b, got)
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_logsumexp_reduced_if_declared_else_refused(self, rng, name):
+        """A declared algebra is reduced correctly; an undeclared one
+        raises instead of returning max-plus output."""
+        backend = get_backend(name)
+        a, b = _random_stacks(rng, 3, 5, triangular=False)
+        a, b = a.astype(LOG_SUM_EXP.npdtype), b.astype(LOG_SUM_EXP.npdtype)
+        got = np.full((5, 5), NEG_INF, dtype=LOG_SUM_EXP.npdtype)
+        if "logsumexp" not in backend.semirings:
+            with pytest.raises(ValueError, match="supports semirings"):
+                backend.batched_r0(a, b, got, semiring=LOG_SUM_EXP)
+            return
+        backend.batched_r0(a, b, got, semiring=LOG_SUM_EXP)
+        # every (split, k) candidate a[s, i, k] + b[s, k, j], log-summed
+        terms = a[:, :, :, None] + b[:, None, :, :]
+        expected = np.logaddexp.reduce(np.logaddexp.reduce(terms, axis=2), axis=0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_batched_scratch_reuse_bit_identical(self, rng):
         """Passing Workspace scratch must not change a single bit."""

@@ -10,11 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import bpmax
+from repro.core.bppart import bppart_recursive
 from repro.core.dmp import DoubleMaxPlus, dmp_reference, random_triangles
 from repro.core.engine import make_engine
 from repro.core.reference import bpmax_recursive, prepare_inputs
 from repro.core.vectorized import VARIANT_CONFIGS, VectorizedBPMax
-from repro.kernels import available_backends
+from repro.kernels import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    KernelBackend,
+    available_backends,
+    register_backend,
+)
 from repro.rna.sequence import random_pair
 from repro.robust.errors import EngineFailure
 from repro.robust.faults import FaultPlan
@@ -62,6 +69,15 @@ class TestScoreEquivalence:
         for name, score in scores.items():
             assert score == expected, name  # exact, not approx
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7)])
+    def test_degenerate_shapes(self, shape, backend):
+        n, m = shape
+        inp = prepare_inputs(*random_pair(n, m, 3))
+        expected = bpmax_recursive(inp)
+        got = make_engine(inp, variant="batched", backend=backend).run()
+        assert got == expected
+
     def test_full_tables_bit_identical(self, medium_inputs):
         engines = {
             name: make_engine(medium_inputs, variant="batched", backend=name)
@@ -87,10 +103,26 @@ class TestDmpEquivalence:
             np.testing.assert_array_equal(got[key], ref[key], err_msg=str(key))
 
     def test_dmp_fallback_name_accepted(self):
-        """'numba' resolves (to itself or its fallback) and stays exact."""
-        tris = random_triangles(5, 4, 9)
-        ref = dmp_reference(tris)
-        got = DoubleMaxPlus(tris, backend="numba").run()
+        """An unavailable backend resolves to its fallback and stays exact."""
+        def never(*args, **kwargs):
+            pytest.fail("ran an unavailable backend")
+
+        register_backend(
+            KernelBackend(
+                "_test-missing",
+                matmul=never,
+                batched_r0=never,
+                available=False,
+                fallback=DEFAULT_BACKEND,
+                note="dependency not installed",
+            )
+        )
+        try:
+            tris = random_triangles(5, 4, 9)
+            ref = dmp_reference(tris)
+            got = DoubleMaxPlus(tris, backend="_test-missing").run()
+        finally:
+            del BACKENDS["_test-missing"]
         for key in ref:
             np.testing.assert_array_equal(got[key], ref[key], err_msg=str(key))
 
@@ -143,6 +175,63 @@ class TestRobustnessEquivalence:
         got = _full_table_items(threaded)
         for key, block in ref.items():
             np.testing.assert_array_equal(got[key], block, err_msg=str(key))
+
+
+class TestLogSumExpEquivalence:
+    """The same contract in the log-sum-exp algebra: every backend either
+    runs it or resolves its declared fallback, and lands on the BPPart
+    reference within the golden corpus's 1e-9 pin; row-partitioned
+    threads and checkpoint/resume stay bit-identical."""
+
+    @pytest.fixture
+    def lse_small(self):
+        return prepare_inputs(*random_pair(4, 5, 42), semiring="logsumexp")
+
+    @pytest.fixture
+    def lse_medium(self):
+        return prepare_inputs(*random_pair(5, 8, 7), semiring="logsumexp")
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_batched_matches_bppart(self, lse_medium, backend):
+        expected = bppart_recursive(lse_medium)
+        got = make_engine(lse_medium, variant="batched", backend=backend).run()
+        assert got == pytest.approx(expected, abs=1e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("variant", list(VARIANT_CONFIGS))
+    def test_every_variant_accepts_every_backend(
+        self, lse_small, variant, backend
+    ):
+        expected = bppart_recursive(lse_small)
+        got = VectorizedBPMax(
+            lse_small, variant=variant, backend=backend, tile=(2, 2, 0)
+        ).run()
+        assert got == pytest.approx(expected, abs=1e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_threaded_bit_identical(self, lse_medium, backend):
+        serial = make_engine(lse_medium, variant="batched", backend=backend)
+        threaded = make_engine(
+            lse_medium, variant="batched", backend=backend, threads=3
+        )
+        assert serial.run() == threaded.run()
+        ref = _full_table_items(serial)
+        got = _full_table_items(threaded)
+        for key, block in ref.items():
+            np.testing.assert_array_equal(got[key], block, err_msg=str(key))
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_crash_resume_bit_identical(self, tmp_path, backend):
+        s1, s2 = random_pair(5, 7, 21)
+        kw = dict(variant="batched", backend=backend, semiring="logsumexp")
+        clean = bpmax(s1, s2, **kw)
+        path = tmp_path / f"{backend}.npz"
+        plan = FaultPlan(crash_windows=[(1, 3)])
+        with pytest.raises(EngineFailure):
+            bpmax(s1, s2, checkpoint=path, faults=plan, **kw)
+        resumed = bpmax(s1, s2, checkpoint=path, resume=True, **kw)
+        assert resumed.score == clean.score
+        assert resumed.resumed_windows > 0
 
 
 class TestPersistentPool:

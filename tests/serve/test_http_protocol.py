@@ -130,6 +130,12 @@ CONFORMANCE = [
         400, "BpmaxError",
     ),
     (
+        "fold-unknown-backend",
+        "POST", "/v1/fold",
+        _req({"seq1": "GG", "seq2": "CC", "backend": "generated"}),
+        400, "BpmaxError",
+    ),
+    (
         "fold-bad-priority",
         "POST", "/v1/fold",
         _req({"seq1": "GG", "seq2": "CC", "priority": "urgent"}),

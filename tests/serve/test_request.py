@@ -53,6 +53,24 @@ class TestSubmitRequestValidation:
         with pytest.raises(BpmaxError, match="unknown variant"):
             SubmitRequest("G", "C", variant="warp-drive")
 
+    # names the registry no longer carries, which older clients may
+    # still send, plus one that never existed
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "numpy",
+            "numba",
+            "generated",
+            "generated-kmajor",
+            "generated-smajor",
+            "generated-numba",
+            "warp-drive",
+        ],
+    )
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(BpmaxError, match="unknown backend"):
+            SubmitRequest("G", "C", backend=name)
+
     def test_unknown_fallback_rejected(self):
         with pytest.raises(BpmaxError, match="unknown fallback"):
             SubmitRequest("G", "C", fallback=("warp-drive",))
@@ -85,7 +103,7 @@ class TestKeys:
 
     def test_cache_key_includes_backend(self):
         a = cache_key(SubmitRequest("GGGG", "CCCC"))
-        b = cache_key(SubmitRequest("GGGG", "CCCC", backend="numpy"))
+        b = cache_key(SubmitRequest("GGGG", "CCCC", backend="tiled"))
         assert a != b
 
     def test_batch_key_groups_by_shape_and_variant(self):
@@ -138,14 +156,14 @@ class TestRequestFromDict:
                 "seq1": "GGGG",
                 "seq2": "CCCC",
                 "variant": "batched",
-                "backend": "numpy",
+                "backend": "fourrussians",
                 "structure": True,
                 "deadline": 2,
                 "retries": 1,
                 "fallback": ["hybrid", "coarse"],
             }
         )
-        assert r.id == "x" and r.variant == "batched" and r.backend == "numpy"
+        assert r.id == "x" and r.variant == "batched" and r.backend == "fourrussians"
         assert r.structure and r.deadline_s == 2.0 and r.retries == 1
         assert r.fallback == ("hybrid", "coarse")
 

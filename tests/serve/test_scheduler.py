@@ -53,7 +53,7 @@ class TestCorrectness:
     def test_variant_and_backend_respected(self):
         reqs = [
             SubmitRequest("GGGG", "CCCC", id="a", variant="coarse"),
-            SubmitRequest("GGGG", "CCCC", id="b", variant="batched", backend="numpy"),
+            SubmitRequest("GGGG", "CCCC", id="b", variant="batched", backend="tiled"),
         ]
         with BatchScheduler(cache=0) as sched:
             results = sched.serve_all(reqs)

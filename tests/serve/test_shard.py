@@ -10,6 +10,9 @@ reproducible, not racy.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -150,6 +153,41 @@ class TestWorkerDeathRecovery:
             assert r.ok, r.error
         assert st["deaths"] >= 1  # the wedged worker was declared dead
         assert st["respawns"] >= 1
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGSTOP"), reason="needs POSIX job-control signals"
+    )
+    def test_worker_killed_mid_write_cannot_stall_survivors(self):
+        """A worker SIGKILLed while blocked writing to its result channel
+        must not stop the other workers' heartbeats.  Shard 1 is paused
+        and the reaper stalled until shard 0's channel is full, so shard 0
+        dies mid-write; on a result channel shared by all workers it would
+        die holding the channel's write lock and shard 1 could never
+        write again."""
+        with ShardScheduler(
+            shards=2, heartbeat_s=0.0001, heartbeat_timeout_s=HB_TIMEOUT
+        ) as s:
+            victim, survivor = s._workers
+            started = time.monotonic()
+            while min(victim.last_hb, survivor.last_hb) <= started:
+                assert time.monotonic() - started < HB_TIMEOUT, "workers never beat"
+                time.sleep(0.05)
+            os.kill(survivor.process.pid, signal.SIGSTOP)
+            try:
+                with s._lock:  # the reaper blocks on its next message
+                    time.sleep(2.0)  # shard 0 fills its channel
+                    os.kill(victim.process.pid, signal.SIGKILL)
+                    victim.process.join(timeout=5.0)
+                    assert not victim.process.is_alive()
+            finally:
+                os.kill(survivor.process.pid, signal.SIGCONT)
+            time.sleep(1.0)  # the reaper drains the backlog
+            with s._lock:
+                before = survivor.last_hb
+            time.sleep(1.0)
+            with s._lock:
+                after = survivor.last_hb
+        assert after > before, "surviving shard stopped heartbeating"
 
 
 class TestOverloadShedding:

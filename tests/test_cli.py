@@ -158,7 +158,7 @@ class TestSemiringFlags:
         assert cli_main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "semirings: max-plus,logsumexp" in out
-        assert "semirings: max-plus\n" in out  # fourrussians/numba stay exact-only
+        assert "semirings: max-plus\n" in out  # fourrussians stays exact-only
 
 
 class TestFastaAndCsv:
@@ -227,6 +227,23 @@ class TestFaultTolerance:
     def test_unknown_fallback_rejected(self, capsys):
         assert main(["run", "GC", "GC", "--fallback", "warp"]) == 2
         assert "fallback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "GC", "GC"],
+            ["scan", "GC", "GCGC"],
+            ["submit", "GC", "GC"],
+            ["golden"],
+        ],
+        ids=["run", "scan", "submit", "golden"],
+    )
+    def test_removed_backend_is_one_line_error(self, argv, capsys):
+        """Every subcommand taking --backend refuses a name the registry
+        dropped before doing any work, listing what is available."""
+        assert main(argv + ["--backend", "generated"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'generated'" in err and "numpy-batched" in err
 
     def test_debug_reraises_traceback(self):
         with pytest.raises(BpmaxError):
